@@ -57,27 +57,36 @@ func TestParseEmptyAndGarbage(t *testing.T) {
 
 const replicatedSample = `goos: linux
 pkg: repro
-BenchmarkRadosWriteSerial 	    1772	   1204652 ns/op
-BenchmarkRadosWritePipelined-4 	   12679	    184255 ns/op
+BenchmarkRadosWritePipelined-4 	   12679	    184255 ns/op	        43.42 ops/rtt
 BenchmarkZLogAppendReplicated 	     253	   4693960 ns/op
 PASS
 `
 
+// TestSummarizePipelinedSpeedup pins the replicated-write metric: the
+// pipelined bench's ops/rtt (writes overlapped per fabric round-trip)
+// becomes rados_write_ops_per_rtt, which both the ratio compare and
+// the 14.9 floor gate.
 func TestSummarizePipelinedSpeedup(t *testing.T) {
 	results, err := Parse(strings.NewReader(replicatedSample))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 3 {
-		t.Fatalf("parsed %d results, want 3", len(results))
+	if len(results) != 2 {
+		t.Fatalf("parsed %d results, want 2", len(results))
 	}
 	s := Summarize(results)
-	wantSpeedup := 1204652.0 / 184255.0
-	if math.Abs(s.SpeedupPipelinedOverSerial-wantSpeedup) > 1e-9 {
-		t.Fatalf("pipelined speedup = %f, want %f", s.SpeedupPipelinedOverSerial, wantSpeedup)
+	if s.RadosWriteOpsPerRTT != 43.42 {
+		t.Fatalf("rados_write_ops_per_rtt = %f, want 43.42", s.RadosWriteOpsPerRTT)
 	}
 	if s.SpeedupBatchOverSerial != 0 {
 		t.Fatalf("batch speedup = %f, want 0 (append benches absent)", s.SpeedupBatchOverSerial)
+	}
+	if _, err := CheckFloors(s, map[string]float64{"rados_write_ops_per_rtt": 14.9}); err != nil {
+		t.Fatalf("floor that holds failed: %v", err)
+	}
+	slow := Summarize([]Result{{Name: "RadosWritePipelined", Iters: 1, NsPerOp: 1_220_000, Metrics: map[string]float64{"ops/rtt": 3.27}}})
+	if _, err := CheckFloors(slow, map[string]float64{"rados_write_ops_per_rtt": 14.9}); err == nil {
+		t.Fatal("a serial-speed write path passed the 14.9 ops/rtt floor")
 	}
 }
 
@@ -144,21 +153,19 @@ const vmSample = `goos: linux
 pkg: repro
 BenchmarkScriptInterp 	   21688	     54196 ns/op	   20136 B/op	     436 allocs/op
 BenchmarkScriptVM-8   	   64804	     16292 ns/op	    2696 B/op	     100 allocs/op
-BenchmarkOpCallLegacy 	   36668	     27954 ns/op	    8276 B/op	     152 allocs/op
 BenchmarkOpCallWarm   	  122488	      9206 ns/op	    1717 B/op	      47 allocs/op
 PASS
 `
 
 // TestParseBenchmem pins the -benchmem column parsing and the PR-7
-// derived metrics: the VM-over-interpreter speedup and the OpCall
-// legacy-over-warm allocation ratio.
+// derived metric, the VM-over-interpreter speedup.
 func TestParseBenchmem(t *testing.T) {
 	results, err := Parse(strings.NewReader(vmSample))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) != 4 {
-		t.Fatalf("parsed %d results, want 4", len(results))
+	if len(results) != 3 {
+		t.Fatalf("parsed %d results, want 3", len(results))
 	}
 	if results[0].BytesPerOp != 20136 || results[0].AllocsPerOp != 436 {
 		t.Fatalf("benchmem columns = %+v", results[0])
@@ -171,21 +178,18 @@ func TestParseBenchmem(t *testing.T) {
 	if want := 54196.0 / 16292.0; math.Abs(s.SpeedupVMOverInterp-want) > 1e-9 {
 		t.Fatalf("vm speedup = %f, want %f", s.SpeedupVMOverInterp, want)
 	}
-	if want := 27954.0 / 9206.0; math.Abs(s.SpeedupOpCallWarmOverLegacy-want) > 1e-9 {
-		t.Fatalf("opcall speedup = %f, want %f", s.SpeedupOpCallWarmOverLegacy, want)
+	if results[2].Name != "OpCallWarm" || results[2].AllocsPerOp != 47 {
+		t.Fatalf("third result = %+v", results[2])
 	}
-	if want := 152.0 / 47.0; math.Abs(s.AllocRatioOpCallLegacyOverWarm-want) > 1e-9 {
-		t.Fatalf("alloc ratio = %f, want %f", s.AllocRatioOpCallLegacyOverWarm, want)
-	}
-	// The opcall ns speedup stays informational (cluster benches are
-	// load-sensitive); only the vm speedup and alloc ratio are gated.
-	if got := speedups(s); len(got) != 2 {
-		t.Fatalf("speedups = %+v, want vm + alloc-ratio", got)
+	// OpCallWarm's allocation ceiling is a tier-1 test
+	// (TestOpCallWarmAllocs); only the vm speedup is gated here.
+	if got := speedups(s); len(got) != 1 || got[0].name != "speedup_vm_over_interp" {
+		t.Fatalf("speedups = %+v, want only speedup_vm_over_interp", got)
 	}
 }
 
 // TestParseWithoutBenchmem keeps plain (no -benchmem) output working:
-// the memory columns stay zero and no alloc metric is derived.
+// the memory columns stay zero.
 func TestParseWithoutBenchmem(t *testing.T) {
 	results, err := Parse(strings.NewReader(sample))
 	if err != nil {
@@ -195,31 +199,6 @@ func TestParseWithoutBenchmem(t *testing.T) {
 		if r.BytesPerOp != 0 || r.AllocsPerOp != 0 {
 			t.Fatalf("memory columns from plain output = %+v", r)
 		}
-	}
-	if s := Summarize(results); s.AllocRatioOpCallLegacyOverWarm != 0 {
-		t.Fatalf("alloc ratio without benchmem = %f", s.AllocRatioOpCallLegacyOverWarm)
-	}
-}
-
-// TestCompareGatesAllocRatio injects an allocation regression into the
-// warm OpCall path (compiled-class cache silently re-parsing would
-// raise warm allocs) and checks the gate trips.
-func TestCompareGatesAllocRatio(t *testing.T) {
-	mk := func(warmAllocs int64) Summary {
-		return Summarize([]Result{
-			{Name: "OpCallLegacy", Iters: 1, NsPerOp: 27954, AllocsPerOp: 152},
-			{Name: "OpCallWarm", Iters: 1, NsPerOp: 9206, AllocsPerOp: warmAllocs},
-		})
-	}
-	baseline := mk(47)
-	lines, err := Compare(mk(50), baseline, 0.30)
-	if err != nil {
-		t.Fatalf("near-identical allocs failed the gate: %v\n%s", err, strings.Join(lines, "\n"))
-	}
-	// Warm path ballooning to legacy-level allocs: ratio collapses to ~1.
-	_, err = Compare(mk(150), baseline, 0.30)
-	if err == nil || !strings.Contains(err.Error(), "alloc_ratio_opcall_legacy_over_warm") {
-		t.Fatalf("err = %v, want alloc-ratio regression", err)
 	}
 }
 
@@ -361,22 +340,21 @@ func TestFloorFlagParsing(t *testing.T) {
 	}
 }
 
-// TestCompareBothMetrics covers a baseline carrying both speedup pairs,
+// TestCompareBothMetrics covers a baseline carrying two gated metrics,
 // with only one regressing.
 func TestCompareBothMetrics(t *testing.T) {
-	both := func(batchNs, pipeNs float64) Summary {
+	both := func(batchNs, opsPerRTT float64) Summary {
 		return Summarize([]Result{
 			{Name: "ZLogAppendSerial", Iters: 1, NsPerOp: 4_800_000},
 			{Name: "ZLogAppendBatch", Iters: 1, NsPerOp: batchNs},
-			{Name: "RadosWriteSerial", Iters: 1, NsPerOp: 1_200_000},
-			{Name: "RadosWritePipelined", Iters: 1, NsPerOp: pipeNs},
+			{Name: "RadosWritePipelined", Iters: 1, NsPerOp: 184_000, Metrics: map[string]float64{"ops/rtt": opsPerRTT}},
 		})
 	}
-	baseline := both(96_000, 184_000)
-	fresh := both(98_000, 500_000) // pipelined speedup collapses
+	baseline := both(96_000, 43)
+	fresh := both(98_000, 16) // write overlap collapses
 	lines, err := Compare(fresh, baseline, 0.30)
-	if err == nil || !strings.Contains(err.Error(), "speedup_pipelined_over_serial") {
-		t.Fatalf("err = %v, want pipelined regression", err)
+	if err == nil || !strings.Contains(err.Error(), "rados_write_ops_per_rtt") {
+		t.Fatalf("err = %v, want ops/rtt regression", err)
 	}
 	if len(lines) != 2 {
 		t.Fatalf("report lines = %q, want one per metric", lines)

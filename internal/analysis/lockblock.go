@@ -17,14 +17,15 @@ import (
 // callee may need the same lock (directly, or via a callback through
 // the same daemon) and the whole quorum wedges.
 //
-// The scan is per-function with lock state keyed by the receiver
-// expression (s.mu). Branches run on a copy of the state, so an
-// early-unlock-and-return path does not poison the fall-through path.
-// defer mu.Unlock() leaves the lock held to the end of the function,
-// which is exactly what it does at runtime. Calls into functions that
-// themselves block (transitively, across packages) count as blocking at
-// the call site. Function literals are separate goroutine/deferred
-// bodies and are scanned as independent roots with no lock held.
+// The scan is per-function on the shared lock-state walker
+// (lockwalk.go), with lock state keyed by the receiver expression
+// (s.mu): branches run on a copy of the state, defer mu.Unlock() leaves
+// the lock held to the end of the function, and function literals are
+// scanned as independent roots with no lock held. Calls into functions
+// that themselves block (transitively, across packages) count as
+// blocking at the call site. A select clause's channel and value
+// expressions are evaluated before the select picks a case, so a
+// blocking call in them is reported even when the select has a default.
 func NewLockBlock() *Pass {
 	p := &Pass{
 		Name: "lockblock",
@@ -46,10 +47,11 @@ func NewLockBlock() *Pass {
 			cached = idx
 		}
 		s := &lockScanner{pkg: pkg, pass: p.Name, blocking: blocking}
+		w := &lockWalker[lockState]{pkg: pkg, lock: trackLock, call: s.call, block: s.report}
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
 				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					s.scanRoot(fd.Body)
+					w.walkRoot(fd.Body, lockState{}, func() lockState { return lockState{} })
 				}
 			}
 		}
@@ -69,6 +71,17 @@ func (ls lockState) clone() lockState {
 	return out
 }
 
+// trackLock is the lockState walker hook: a Lock (acquire) of lockExpr
+// at call adds it, an Unlock removes it.
+func trackLock(call *ast.CallExpr, lockExpr ast.Expr, acquire bool, held lockState) {
+	key := types.ExprString(lockExpr)
+	if acquire {
+		held[key] = call.Pos()
+	} else {
+		delete(held, key)
+	}
+}
+
 type lockScanner struct {
 	pkg      *Package
 	pass     string
@@ -76,7 +89,11 @@ type lockScanner struct {
 	diags    []Diagnostic
 }
 
+// report flags a blocking operation if any lock is held across it.
 func (s *lockScanner) report(pos token.Pos, what string, held lockState) {
+	if len(held) == 0 {
+		return
+	}
 	names := make([]string, 0, len(held))
 	for k := range held {
 		names = append(names, k)
@@ -90,185 +107,25 @@ func (s *lockScanner) report(pos token.Pos, what string, held lockState) {
 	})
 }
 
-// scanRoot scans a function or literal body with an empty lock state,
-// then scans each directly nested function literal as its own root.
-func (s *lockScanner) scanRoot(body *ast.BlockStmt) {
-	s.scanStmts(body.List, lockState{})
-	var lits []*ast.FuncLit
-	ast.Inspect(body, func(n ast.Node) bool {
-		if fl, ok := n.(*ast.FuncLit); ok {
-			lits = append(lits, fl)
-			return false
-		}
-		return true
-	})
-	for _, fl := range lits {
-		s.scanRoot(fl.Body)
+// call reports a blocking call: time.Sleep, a wire Call, or a call
+// into a function that blocks.
+func (s *lockScanner) call(call *ast.CallExpr, held lockState) {
+	if len(held) == 0 {
+		return
 	}
-}
-
-func (s *lockScanner) scanStmts(list []ast.Stmt, held lockState) {
-	for _, st := range list {
-		s.scanStmt(st, held)
-	}
-}
-
-func (s *lockScanner) scanStmt(st ast.Stmt, held lockState) {
-	switch x := st.(type) {
-	case *ast.ExprStmt:
-		s.scanExpr(x.X, held)
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			s.scanExpr(e, held)
-		}
-		for _, e := range x.Lhs {
-			s.scanExpr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			s.scanExpr(e, held)
-		}
-	case *ast.IncDecStmt:
-		s.scanExpr(x.X, held)
-	case *ast.SendStmt:
-		if len(held) > 0 {
-			s.report(x.Pos(), "channel send", held)
-		}
-		s.scanExpr(x.Value, held)
-	case *ast.DeferStmt:
-		// A deferred Unlock runs at return: the lock stays held for the
-		// rest of the function, which the state already says. Only the
-		// argument expressions run now.
-		for _, e := range x.Call.Args {
-			s.scanExpr(e, held)
-		}
-	case *ast.GoStmt:
-		// The spawned body runs on its own stack (scanned as a root);
-		// only the argument expressions run here.
-		for _, e := range x.Call.Args {
-			s.scanExpr(e, held)
-		}
-	case *ast.BlockStmt:
-		s.scanStmts(x.List, held)
-	case *ast.IfStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, held)
-		}
-		s.scanExpr(x.Cond, held)
-		s.scanStmts(x.Body.List, held.clone())
-		if x.Else != nil {
-			s.scanStmt(x.Else, held.clone())
-		}
-	case *ast.ForStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, held)
-		}
-		if x.Cond != nil {
-			s.scanExpr(x.Cond, held)
-		}
-		body := held.clone()
-		s.scanStmts(x.Body.List, body)
-		if x.Post != nil {
-			s.scanStmt(x.Post, body)
-		}
-	case *ast.RangeStmt:
-		s.scanExpr(x.X, held)
-		s.scanStmts(x.Body.List, held.clone())
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, held)
-		}
-		if x.Tag != nil {
-			s.scanExpr(x.Tag, held)
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, held.clone())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, held.clone())
-			}
-		}
-	case *ast.SelectStmt:
-		blockingSelect := true
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				blockingSelect = false
-			}
-		}
-		if blockingSelect && len(held) > 0 {
-			s.report(x.Pos(), "blocking select", held)
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				s.scanStmts(cc.Body, held.clone())
-			}
-		}
-	case *ast.LabeledStmt:
-		s.scanStmt(x.Stmt, held)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.scanExpr(v, held)
-					}
-				}
-			}
-		}
-	}
-}
-
-// scanExpr walks one expression: lock/unlock calls mutate the state,
-// blocking operations under a non-empty state are reported.
-func (s *lockScanner) scanExpr(e ast.Expr, held lockState) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if op, lockExpr := lockOp(s.pkg, x); op != 0 {
-				key := types.ExprString(lockExpr)
-				if op == opLock {
-					held[key] = x.Pos()
-				} else {
-					delete(held, key)
-				}
-				return true
-			}
-			if len(held) > 0 {
-				if why := s.blockingCall(x); why != "" {
-					s.report(x.Pos(), why, held)
-				}
-			}
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW && len(held) > 0 {
-				s.report(x.Pos(), "channel receive", held)
-			}
-		}
-		return true
-	})
-}
-
-func (s *lockScanner) blockingCall(call *ast.CallExpr) string {
 	fn := Callee(s.pkg.Info, call)
 	if fn == nil {
-		return ""
+		return
 	}
 	full := fn.FullName()
-	if full == "time.Sleep" {
-		return "time.Sleep"
+	switch {
+	case full == "time.Sleep":
+		s.report(call.Pos(), "time.Sleep", held)
+	case isWireCall(fn):
+		s.report(call.Pos(), "blocking call "+full, held)
+	case s.blocking[full] != "":
+		s.report(call.Pos(), fmt.Sprintf("call to %s (which blocks on %s)", full, s.blocking[full]), held)
 	}
-	if isWireCall(fn) {
-		return "blocking call " + full
-	}
-	if why := s.blocking[full]; why != "" {
-		return fmt.Sprintf("call to %s (which blocks on %s)", full, why)
-	}
-	return ""
 }
 
 const (
@@ -383,13 +240,7 @@ func directBlockReason(fd FuncDecl) string {
 				why = "a channel receive"
 			}
 		case *ast.SelectStmt:
-			blocking := true
-			for _, c := range x.Body.List {
-				if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-					blocking = false
-				}
-			}
-			if blocking {
+			if isBlockingSelect(x) {
 				why = "a select"
 			}
 		case *ast.CallExpr:

@@ -65,7 +65,8 @@ func lockOrderDiagnostics(pass string, idx *Index) map[string][]Diagnostic {
 	for _, name := range sortedDeclNames(idx) {
 		fd := idx.decls[name]
 		s := &loScanner{pkg: fd.Pkg, idx: idx, acq: acq, helpers: helpers, add: addEdge}
-		s.scanStmts(fd.Decl.Body.List, preHeldIdents(fd.Pkg, fd.Decl))
+		w := &lockWalker[loState]{pkg: fd.Pkg, lock: s.lock, call: s.applyCallee}
+		w.stmts(fd.Decl.Body.List, preHeldIdents(fd.Pkg, fd.Decl))
 	}
 
 	return lockCycleDiagnostics(pass, edges)
@@ -117,12 +118,10 @@ func (st loState) clone() loState {
 	return out
 }
 
-// loScanner is the flow-sensitive walker that turns held-state plus
-// acquisitions (direct, or via callee summaries) into order edges. The
-// statement handling mirrors lockblock's scanner: branches run on a
-// cloned state, deferred unlocks keep the lock held to function end,
-// and function literals / go bodies are other stacks (they are scanned
-// as their own roots by the top-level loop over declarations).
+// loScanner supplies the lock-state walker's hooks that turn held state
+// plus acquisitions (direct, or via callee summaries) into order edges.
+// Only declared function bodies are walked: function literals and go
+// bodies run on other stacks and start no edges here.
 type loScanner struct {
 	pkg     *Package
 	idx     *Index
@@ -131,139 +130,26 @@ type loScanner struct {
 	add     func(loEdge)
 }
 
-func (s *loScanner) scanStmts(list []ast.Stmt, st loState) {
-	for _, stmt := range list {
-		s.scanStmt(stmt, st)
+// lock records an edge from every held mutex to one being acquired.
+// Local mutexes have no cross-function identity and are skipped.
+func (s *loScanner) lock(call *ast.CallExpr, lockExpr ast.Expr, acquire bool, st loState) {
+	ident, ok := lockIdentOf(s.pkg, lockExpr)
+	if !ok {
+		return
 	}
-}
-
-func (s *loScanner) scanStmt(stmt ast.Stmt, st loState) {
-	switch x := stmt.(type) {
-	case *ast.ExprStmt:
-		s.scanExpr(x.X, st)
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			s.scanExpr(e, st)
-		}
-		for _, e := range x.Lhs {
-			s.scanExpr(e, st)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			s.scanExpr(e, st)
-		}
-	case *ast.IncDecStmt:
-		s.scanExpr(x.X, st)
-	case *ast.SendStmt:
-		s.scanExpr(x.Chan, st)
-		s.scanExpr(x.Value, st)
-	case *ast.DeferStmt:
-		for _, e := range x.Call.Args {
-			s.scanExpr(e, st)
-		}
-	case *ast.GoStmt:
-		for _, e := range x.Call.Args {
-			s.scanExpr(e, st)
-		}
-	case *ast.BlockStmt:
-		s.scanStmts(x.List, st)
-	case *ast.IfStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		s.scanExpr(x.Cond, st)
-		s.scanStmts(x.Body.List, st.clone())
-		if x.Else != nil {
-			s.scanStmt(x.Else, st.clone())
-		}
-	case *ast.ForStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		if x.Cond != nil {
-			s.scanExpr(x.Cond, st)
-		}
-		body := st.clone()
-		s.scanStmts(x.Body.List, body)
-		if x.Post != nil {
-			s.scanStmt(x.Post, body)
-		}
-	case *ast.RangeStmt:
-		s.scanExpr(x.X, st)
-		s.scanStmts(x.Body.List, st.clone())
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, st)
-		}
-		if x.Tag != nil {
-			s.scanExpr(x.Tag, st)
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, st.clone())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, st.clone())
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				branch := st.clone()
-				if cc.Comm != nil {
-					s.scanStmt(cc.Comm, branch)
-				}
-				s.scanStmts(cc.Body, branch)
-			}
-		}
-	case *ast.LabeledStmt:
-		s.scanStmt(x.Stmt, st)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.scanExpr(v, st)
-					}
-				}
-			}
-		}
+	if !acquire {
+		delete(st, ident)
+		return
 	}
-}
-
-func (s *loScanner) scanExpr(e ast.Expr, st loState) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if op, lockExpr := lockOp(s.pkg, x); op != 0 {
-				ident, ok := lockIdentOf(s.pkg, lockExpr)
-				if !ok {
-					return true // local mutex: no cross-function identity
-				}
-				pos := s.pkg.position(x.Pos())
-				if op == opLock {
-					for held, heldPos := range st {
-						s.add(loEdge{
-							from: held, to: ident, pkg: s.pkg.Path,
-							fromPos: heldPos,
-							chain:   []chainStep{{name: ident, pos: pos}},
-						})
-					}
-					st[ident] = pos
-				} else {
-					delete(st, ident)
-				}
-				return true
-			}
-			s.applyCallee(x, st)
-		}
-		return true
-	})
+	pos := s.pkg.position(call.Pos())
+	for held, heldPos := range st {
+		s.add(loEdge{
+			from: held, to: ident, pkg: s.pkg.Path,
+			fromPos: heldPos,
+			chain:   []chainStep{{name: ident, pos: pos}},
+		})
+	}
+	st[ident] = pos
 }
 
 // applyCallee handles a call while locks may be held: every mutex the

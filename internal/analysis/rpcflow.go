@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"go/types"
 	"sort"
 	"strings"
 )
@@ -72,11 +71,9 @@ func rpcFlowDiagnostics(pass string, idx *Index) map[string][]Diagnostic {
 
 // ---- part 1: RPC reached under a lock, across call hops ----
 
-// rfScanner reuses lockblock's held-state discipline (receiver-
-// expression keys, so local mutexes count too) but reports calls into
-// functions that transitively reach a wire Call. It deliberately does
-// not re-walk branches: an over-approximate linear scan is fine here
-// because lock state is still keyed per expression and branch-cloned.
+// rfScanner runs on the shared lock-state walker with lockblock's
+// held state (receiver-expression keys, so local mutexes count too) but
+// reports calls into functions that transitively reach a wire Call.
 type rfScanner struct {
 	pass string
 	pkg  *Package
@@ -89,151 +86,34 @@ func (s *rfScanner) scanBody(body *ast.BlockStmt, pre fgState) {
 	for k := range pre.held {
 		held[k] = body.Pos()
 	}
-	s.scanStmts(body.List, held)
+	w := &lockWalker[lockState]{pkg: s.pkg, lock: trackLock, call: s.call}
+	w.stmts(body.List, held)
 }
 
-func (s *rfScanner) scanStmts(list []ast.Stmt, held lockState) {
-	for _, stmt := range list {
-		s.scanStmt(stmt, held)
+func (s *rfScanner) call(call *ast.CallExpr, held lockState) {
+	if len(held) == 0 {
+		return
 	}
-}
-
-func (s *rfScanner) scanStmt(stmt ast.Stmt, held lockState) {
-	switch x := stmt.(type) {
-	case *ast.ExprStmt:
-		s.scanExpr(x.X, held)
-	case *ast.AssignStmt:
-		for _, e := range x.Rhs {
-			s.scanExpr(e, held)
-		}
-		for _, e := range x.Lhs {
-			s.scanExpr(e, held)
-		}
-	case *ast.ReturnStmt:
-		for _, e := range x.Results {
-			s.scanExpr(e, held)
-		}
-	case *ast.IncDecStmt:
-		s.scanExpr(x.X, held)
-	case *ast.SendStmt:
-		s.scanExpr(x.Chan, held)
-		s.scanExpr(x.Value, held)
-	case *ast.DeferStmt:
-		for _, e := range x.Call.Args {
-			s.scanExpr(e, held)
-		}
-	case *ast.GoStmt:
-		for _, e := range x.Call.Args {
-			s.scanExpr(e, held)
-		}
-	case *ast.BlockStmt:
-		s.scanStmts(x.List, held)
-	case *ast.IfStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, held)
-		}
-		s.scanExpr(x.Cond, held)
-		s.scanStmts(x.Body.List, held.clone())
-		if x.Else != nil {
-			s.scanStmt(x.Else, held.clone())
-		}
-	case *ast.ForStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, held)
-		}
-		if x.Cond != nil {
-			s.scanExpr(x.Cond, held)
-		}
-		body := held.clone()
-		s.scanStmts(x.Body.List, body)
-		if x.Post != nil {
-			s.scanStmt(x.Post, body)
-		}
-	case *ast.RangeStmt:
-		s.scanExpr(x.X, held)
-		s.scanStmts(x.Body.List, held.clone())
-	case *ast.SwitchStmt:
-		if x.Init != nil {
-			s.scanStmt(x.Init, held)
-		}
-		if x.Tag != nil {
-			s.scanExpr(x.Tag, held)
-		}
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, held.clone())
-			}
-		}
-	case *ast.TypeSwitchStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CaseClause); ok {
-				s.scanStmts(cc.Body, held.clone())
-			}
-		}
-	case *ast.SelectStmt:
-		for _, c := range x.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok {
-				branch := held.clone()
-				if cc.Comm != nil {
-					s.scanStmt(cc.Comm, branch)
-				}
-				s.scanStmts(cc.Body, branch)
-			}
-		}
-	case *ast.LabeledStmt:
-		s.scanStmt(x.Stmt, held)
-	case *ast.DeclStmt:
-		if gd, ok := x.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						s.scanExpr(v, held)
-					}
-				}
-			}
-		}
+	fn := Callee(s.pkg.Info, call)
+	if fn == nil || isWireCall(fn) {
+		return // the direct case is lockblock's finding
 	}
-}
-
-func (s *rfScanner) scanExpr(e ast.Expr, held lockState) {
-	ast.Inspect(e, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.CallExpr:
-			if op, lockExpr := lockOp(s.pkg, x); op != 0 {
-				key := types.ExprString(lockExpr)
-				if op == opLock {
-					held[key] = x.Pos()
-				} else {
-					delete(held, key)
-				}
-				return true
-			}
-			if len(held) == 0 {
-				return true
-			}
-			fn := Callee(s.pkg.Info, x)
-			if fn == nil || isWireCall(fn) {
-				return true // the direct case is lockblock's finding
-			}
-			if r, ok := s.rpcs[fn.FullName()]; ok {
-				chain := append([]chainStep{{name: fn.FullName(), pos: s.pkg.position(x.Pos())}}, r.chain...)
-				names := make([]string, 0, len(held))
-				for k := range held {
-					names = append(names, k)
-				}
-				sort.Strings(names)
-				s.add(s.pkg.Path, Diagnostic{
-					Pos:  s.pkg.position(x.Pos()),
-					Pass: s.pass,
-					Message: fmt.Sprintf("%s held while calling %s, which reaches RPC %s: %s",
-						strings.Join(names, ", "), shortName(fn.FullName()), shortName(r.callee), renderChain(chain)),
-					Related: relatedOf(chain),
-				})
-			}
-		}
-		return true
+	r, ok := s.rpcs[fn.FullName()]
+	if !ok {
+		return
+	}
+	chain := append([]chainStep{{name: fn.FullName(), pos: s.pkg.position(call.Pos())}}, r.chain...)
+	names := make([]string, 0, len(held))
+	for k := range held {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	s.add(s.pkg.Path, Diagnostic{
+		Pos:  s.pkg.position(call.Pos()),
+		Pass: s.pass,
+		Message: fmt.Sprintf("%s held while calling %s, which reaches RPC %s: %s",
+			strings.Join(names, ", "), shortName(fn.FullName()), shortName(r.callee), renderChain(chain)),
+		Related: relatedOf(chain),
 	})
 }
 

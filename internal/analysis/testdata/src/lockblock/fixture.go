@@ -86,3 +86,42 @@ func (s *server) spawn() {
 	}()
 	s.data["k"]++
 }
+
+func must(s string, err error) string { return s }
+
+// Bad: a select clause's channel and value expressions run before the
+// select picks a case, default or not — the RPC here blocks under s.mu.
+func (s *server) rpcInSelectClause(ctx context.Context) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case s.ch <- len(must(s.net.Call(ctx, "x"))): // want "s.mu held across blocking call"
+	default:
+	}
+}
+
+// Bad: a select without default blocks as a whole; its clauses' own
+// send and receive are that one operation, not findings of their own.
+func (s *server) blockingSelect(ctx context.Context) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select { // want "s.mu held across blocking select"
+	case s.ch <- 1:
+	case v, ok := <-s.ch:
+		_, _ = v, ok
+	case <-ctx.Done():
+	}
+}
+
+// Good: with a default the select never blocks, and its clauses' own
+// channel operations are part of it.
+func (s *server) pollUnderLock() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case s.ch <- 1:
+	case v := <-s.ch:
+		s.data["k"] = v
+	default:
+	}
+}

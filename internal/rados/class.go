@@ -108,21 +108,6 @@ type NativeClass struct {
 	Methods  map[string]NativeMethod
 }
 
-// ClassExecMode selects the script-class execution engine.
-type ClassExecMode int
-
-const (
-	// ClassExecCompiled (the default) compiles each class script to
-	// bytecode once, caches the compiled chunk by content hash, and
-	// serves calls from pooled interpreter activations whose host
-	// binding table is built once and rebound per call.
-	ClassExecCompiled ClassExecMode = iota
-	// ClassExecLegacy tree-walks a cached AST with a fresh interpreter
-	// and a freshly built binding table per call. Kept for the
-	// before/after benchmarks and as a conservative fallback.
-	ClassExecLegacy
-)
-
 // maxCompiledClasses bounds the per-OSD compiled cache; eviction is
 // FIFO, which is plenty for the handful of classes a cluster carries.
 const maxCompiledClasses = 128
@@ -144,12 +129,8 @@ type classVM struct {
 
 // classRuntime resolves and executes class calls for one OSD.
 type classRuntime struct {
-	mode   ClassExecMode
 	mu     sync.Mutex
 	native map[string]*NativeClass
-	// parsed caches tree-walker ASTs keyed by class name + version
-	// (legacy engine only).
-	parsed map[string]*script.Block
 	// compiled caches bytecode keyed by the script's content hash: a
 	// re-register under the same name with different source is a
 	// different key, so stale code can never be served.
@@ -157,11 +138,9 @@ type classRuntime struct {
 	hashOrder [][32]byte // FIFO eviction order for compiled
 }
 
-func newClassRuntime(mode ClassExecMode) *classRuntime {
+func newClassRuntime() *classRuntime {
 	rt := &classRuntime{
-		mode:     mode,
 		native:   make(map[string]*NativeClass),
-		parsed:   make(map[string]*script.Block),
 		compiled: make(map[[32]byte]*compiledClass),
 	}
 	for _, c := range BuiltinClasses() {
@@ -197,9 +176,6 @@ func (rt *classRuntime) callNative(cls, method string, ctx *ClassCtx) (out []byt
 
 // callScript executes a script-class method from def against ctx.
 func (rt *classRuntime) callScript(def types.ClassDef, method string, ctx *ClassCtx) ([]byte, ResultCode) {
-	if rt.mode == ClassExecLegacy {
-		return rt.callScriptLegacy(def, method, ctx)
-	}
 	cc, err := rt.compiledFor(def)
 	if err != nil {
 		return []byte(err.Error()), EINVAL
@@ -209,8 +185,7 @@ func (rt *classRuntime) callScript(def types.ClassDef, method string, ctx *Class
 		vm = &classVM{ip: script.New(), binding: newClsBinding()}
 	}
 	// Re-run the chunk's top level: pure bytecode (no parse, no
-	// compile), it just redefines the method functions, matching the
-	// legacy engine's run-then-call shape.
+	// compile), it just redefines the method functions before the call.
 	if _, rerr := cc.chunk.Run(vm.ip); rerr != nil {
 		cc.pool.Put(vm)
 		return []byte(rerr.Error()), EINVAL
@@ -258,40 +233,6 @@ func (rt *classRuntime) compiledFor(def types.ClassDef) (*compiledClass, error) 
 	}
 	rt.mu.Unlock()
 	return cc, nil
-}
-
-// callScriptLegacy is the pre-bytecode engine: cached AST, fresh
-// interpreter and fresh binding table per call.
-func (rt *classRuntime) callScriptLegacy(def types.ClassDef, method string, ctx *ClassCtx) ([]byte, ResultCode) {
-	key := fmt.Sprintf("%s@%d", def.Name, def.Version)
-	rt.mu.Lock()
-	blk, ok := rt.parsed[key]
-	rt.mu.Unlock()
-	if !ok {
-		var err error
-		blk, err = script.Parse(def.Script)
-		if err != nil {
-			return []byte(err.Error()), EINVAL
-		}
-		rt.mu.Lock()
-		rt.parsed[key] = blk
-		rt.mu.Unlock()
-	}
-
-	ip := script.New()
-	if _, err := ip.Exec(blk); err != nil {
-		return []byte(err.Error()), EINVAL
-	}
-	fn := ip.Global(method)
-	if fn == nil {
-		return []byte(fmt.Sprintf("class %s has no method %s", def.Name, method)), EINVAL
-	}
-	cls := bindClassCtx(ctx)
-	vals, err := ip.Call(fn, cls)
-	if err != nil {
-		return []byte(err.Error()), codeFromError(err)
-	}
-	return decodeScriptResult(vals)
 }
 
 // codeFromError lets scripts abort with a specific result code by
@@ -382,13 +323,6 @@ func (b *clsBinding) bind(ctx *ClassCtx) {
 	} else {
 		b.tbl.Set("input", nil) //nolint:errcheck
 	}
-}
-
-// bindClassCtx builds a single-use binding for the legacy engine.
-func bindClassCtx(ctx *ClassCtx) *script.Table {
-	b := newClsBinding()
-	b.bind(ctx)
-	return b.tbl
 }
 
 func newClsBinding() *clsBinding {

@@ -19,35 +19,35 @@ func execClass(t *testing.T, rt *classRuntime, def types.ClassDef, method, input
 // a class is re-registered under the same name with different source,
 // calls must run the new code, never a cached compilation of the old.
 func TestCompiledClassCacheStaleSource(t *testing.T) {
-	for _, mode := range []ClassExecMode{ClassExecCompiled, ClassExecLegacy} {
-		t.Run(fmt.Sprintf("mode_%d", mode), func(t *testing.T) {
-			rt := newClassRuntime(mode)
-			v1 := types.ClassDef{Name: "echo", Version: 1, Script: `function get(cls) return "old" end`}
-			v2 := types.ClassDef{Name: "echo", Version: 2, Script: `function get(cls) return "new" end`}
+	// mode_0 names the compiled engine (the only class engine); the
+	// subtest keeps the name it has carried since engines were selectable.
+	t.Run("mode_0", func(t *testing.T) {
+		rt := newClassRuntime()
+		v1 := types.ClassDef{Name: "echo", Version: 1, Script: `function get(cls) return "old" end`}
+		v2 := types.ClassDef{Name: "echo", Version: 2, Script: `function get(cls) return "new" end`}
 
-			if out, rc := execClass(t, rt, v1, "get", ""); rc != OK || out != "old" {
-				t.Fatalf("v1: got %q rc=%v", out, rc)
-			}
-			// Warm the cache hard, then re-register.
-			for i := 0; i < 10; i++ {
-				execClass(t, rt, v1, "get", "")
-			}
-			if out, rc := execClass(t, rt, v2, "get", ""); rc != OK || out != "new" {
-				t.Fatalf("after re-register: got %q rc=%v (stale compilation served)", out, rc)
-			}
-			// The old def still resolves to its own code (hash-keyed).
-			if out, rc := execClass(t, rt, v1, "get", ""); rc != OK || out != "old" {
-				t.Fatalf("v1 after v2: got %q rc=%v", out, rc)
-			}
-		})
-	}
+		if out, rc := execClass(t, rt, v1, "get", ""); rc != OK || out != "old" {
+			t.Fatalf("v1: got %q rc=%v", out, rc)
+		}
+		// Warm the cache hard, then re-register.
+		for i := 0; i < 10; i++ {
+			execClass(t, rt, v1, "get", "")
+		}
+		if out, rc := execClass(t, rt, v2, "get", ""); rc != OK || out != "new" {
+			t.Fatalf("after re-register: got %q rc=%v (stale compilation served)", out, rc)
+		}
+		// The old def still resolves to its own code (hash-keyed).
+		if out, rc := execClass(t, rt, v1, "get", ""); rc != OK || out != "old" {
+			t.Fatalf("v1 after v2: got %q rc=%v", out, rc)
+		}
+	})
 }
 
 // TestCompiledClassWarmPathMutations drives a mutating method many
 // times through the pooled VM to prove the rebound ctx table targets
 // the right object every call.
 func TestCompiledClassWarmPathMutations(t *testing.T) {
-	rt := newClassRuntime(ClassExecCompiled)
+	rt := newClassRuntime()
 	def := types.ClassDef{Name: "kv", Version: 1, Script: `
 		function put(cls)
 			cls.omap_set(cls.input, cls.input .. "-v")
@@ -86,7 +86,7 @@ func TestCompiledClassWarmPathMutations(t *testing.T) {
 // TestCompiledClassErrorCodes: error("ENOENT: ...") style codes survive
 // the VM engine, including line-attributed runtime errors → EIO.
 func TestCompiledClassErrorCodes(t *testing.T) {
-	rt := newClassRuntime(ClassExecCompiled)
+	rt := newClassRuntime()
 	def := types.ClassDef{Name: "err", Version: 1, Script: `
 		function missing(cls) error("ENOENT: no such entry") end
 		function boom(cls) return nil + 1 end
@@ -108,7 +108,7 @@ func TestCompiledClassErrorCodes(t *testing.T) {
 
 // TestCompiledClassCacheBounded: the FIFO cap holds.
 func TestCompiledClassCacheBounded(t *testing.T) {
-	rt := newClassRuntime(ClassExecCompiled)
+	rt := newClassRuntime()
 	for i := 0; i < maxCompiledClasses+20; i++ {
 		def := types.ClassDef{
 			Name: "gen", Version: uint64(i),

@@ -14,20 +14,6 @@ import (
 	"repro/internal/wire"
 )
 
-// ReplicationMode selects how the primary pushes mutations to replicas.
-type ReplicationMode int
-
-const (
-	// ReplicatePipelined applies locally under the object's own lock,
-	// releases it, then forwards to all replicas in parallel (~1 RTT
-	// regardless of replica count). The default.
-	ReplicatePipelined ReplicationMode = iota
-	// ReplicateSerial is the pre-pipeline baseline kept for measurement:
-	// one operation per PG at a time, replicas contacted sequentially
-	// ((R-1)·RTT per mutation).
-	ReplicateSerial
-)
-
 // OSDConfig configures one object storage daemon.
 type OSDConfig struct {
 	ID   int
@@ -44,18 +30,11 @@ type OSDConfig struct {
 	// ScrubInterval is how often primaries compare replica digests and
 	// repair divergence; zero disables background scrub.
 	ScrubInterval time.Duration
-	// Replication selects the write-path engine; the zero value is the
-	// pipelined engine.
-	Replication ReplicationMode
 	// ReplicaWaitTimeout bounds how long a replica buffers an
 	// out-of-order forward waiting for the preceding mutation of the
 	// same object; on expiry it applies anyway and scrub repairs any
 	// residual divergence. Zero means the default.
 	ReplicaWaitTimeout time.Duration
-	// ClassExec selects the script-class engine; the zero value is the
-	// compiled (bytecode, cached, pooled) engine. ClassExecLegacy
-	// tree-walks with per-call setup, kept for benchmark comparison.
-	ClassExec ClassExecMode
 	// GCInterval is how often the dedup GC sweeper delivers queued
 	// block ref deltas and reclaims unreferenced blocks (osd_gc.go);
 	// zero disables the background loop (SweepBlocks still works).
@@ -181,7 +160,7 @@ func NewOSD(net *wire.Network, cfg OSDConfig) *OSD {
 		cfg:       cfg,
 		net:       net,
 		monc:      mon.NewClient(net, OSDAddr(cfg.ID), cfg.Mons),
-		rt:        newClassRuntime(cfg.ClassExec),
+		rt:        newClassRuntime(),
 		rng:       rand.New(rand.NewSource(int64(cfg.ID)*7919 + 17)),
 		watchers:  newWatcherTable(),
 		osdMap:    types.NewOSDMap(),

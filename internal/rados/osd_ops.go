@@ -83,10 +83,6 @@ func (o *OSD) handleOp(ctx context.Context, from wire.Addr, req OpRequest) OpRep
 		}
 		return rep
 	}
-	if o.cfg.Replication == ReplicateSerial {
-		return o.doSerialOp(ctx, from, p, req, m, acting)
-	}
-
 	// Pipelined primary path: apply locally under the object's own lock,
 	// version-stamp, journal, release the lock, then commit and
 	// replicate. Nothing is held across the fsync or the replica
@@ -172,55 +168,6 @@ func (o *OSD) replicate(ctx context.Context, req OpRequest, peers []int, epoch t
 		}()
 	}
 	wg.Wait()
-}
-
-// doSerialOp is the measured baseline (ReplicateSerial): one
-// operation per PG at a time, replicas contacted sequentially inside
-// the PG-wide admission window — (R-1)·RTT per mutation, reads of
-// unrelated objects blocked behind it. The window is a channel token
-// rather than a held mutex, so the lock-across-RPC invariant holds here
-// too.
-func (o *OSD) doSerialOp(ctx context.Context, from wire.Addr, p *pg, req OpRequest, m *types.OSDMap, acting []int) OpReply {
-	select {
-	case p.admit <- struct{}{}:
-	case <-ctx.Done():
-		return OpReply{Result: EIO, Detail: "canceled awaiting pg admission", Epoch: m.Epoch}
-	}
-	defer func() { <-p.admit }()
-
-	e := p.entry(req.Object)
-	e.mu.Lock()
-	prev := e.ver
-	reply, mutated := o.applyOp(e, req, m)
-	if mutated && reply.Result == OK {
-		o.recordOp(p, e, req)
-	}
-	e.mu.Unlock()
-	reply.Epoch = m.Epoch
-	if mutated && reply.Result == OK {
-		if err := o.commitDurable(); err != nil {
-			return OpReply{Result: EIO, Detail: "wal commit: " + err.Error(), Epoch: m.Epoch}
-		}
-		if req.OpID != 0 {
-			o.replayPut(from, req.OpID, reply)
-		}
-		fwd := req
-		fwd.Replica = true
-		fwd.Epoch = m.Epoch
-		fwd.PrevVersion = prev
-		fwd.NewVersion = reply.Version
-		for _, peer := range acting[1:] {
-			rctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			_, err := o.net.Call(rctx, o.Addr(), OSDAddr(peer), fwd)
-			cancel()
-			if err != nil {
-				lctx, lcancel := context.WithTimeout(context.Background(), time.Second)
-				o.monc.Log(lctx, "warn", "replica write to "+string(OSDAddr(peer))+" failed: "+err.Error()) //nolint:errcheck
-				lcancel()
-			}
-		}
-	}
-	return reply
 }
 
 // applyReplicaOp applies a primary forward in the primary's per-object

@@ -102,8 +102,8 @@ func TestReplayCacheScopedToSender(t *testing.T) {
 // predecessor's wire address must not collide with the predecessor's
 // OpIDs — each Client instance stamps ops in a disjoint incarnation
 // range, so the second client's appends apply instead of being
-// answered from the replay cache. (Caught by internal/query's
-// property test, which opens a fresh client per table at one address.)
+// answered from the replay cache. (First caught by a property test
+// that opened a fresh client per table at one shared address.)
 func TestReplayCacheSurvivesClientRestart(t *testing.T) {
 	tc := bootCluster(t, 3, 2)
 	ctx := ctxT(t, 10*time.Second)

@@ -134,39 +134,41 @@ func TestReplicatedWriteMessageComplexity(t *testing.T) {
 }
 
 // TestFanOutLatencyOneRTT shapes the fabric at 1ms one-way and shows
-// the replication leg costs ~1 RTT, not the serial path's 2: a
-// pipelined replicas=3 write completes in ~4ms (client RTT + one
-// parallel fan-out RTT) where the serial baseline needs ~6ms (client
-// RTT + two sequential replica RTTs).
+// the replication leg costs ~1 RTT: a replicas=3 write completes in
+// ~4ms (client RTT + one parallel fan-out RTT). Contacting the two
+// replicas one after the other would need ~6ms (client RTT + two
+// sequential replica RTTs), so the 5.2ms bound fails any serial
+// fan-out. The injected delay is a floor that CPU contention can only
+// add to, so the fastest of several batches is the measurement: a
+// serial fan-out cannot get under ~6ms in any batch, while a loaded
+// test machine no longer fails a parallel one.
 func TestFanOutLatencyOneRTT(t *testing.T) {
-	measure := func(mode ReplicationMode) time.Duration {
-		tc := bootClusterOpts(t, clusterOpts{
-			osds: 3, replicas: 3,
-			osd: OSDConfig{GossipInterval: time.Hour, Replication: mode},
-		})
-		ctx := ctxT(t, 30*time.Second)
-		if err := tc.client.WriteFull(ctx, "data", "timed", []byte("warmup")); err != nil {
-			t.Fatal(err)
-		}
-		tc.net.SetLatency(time.Millisecond, 0)
-		const rounds = 5
+	tc := bootClusterOpts(t, clusterOpts{
+		osds: 3, replicas: 3,
+		osd: OSDConfig{GossipInterval: time.Hour},
+	})
+	ctx := ctxT(t, 30*time.Second)
+	if err := tc.client.WriteFull(ctx, "data", "timed", []byte("warmup")); err != nil {
+		t.Fatal(err)
+	}
+	tc.net.SetLatency(time.Millisecond, 0)
+	const batches, rounds = 3, 5
+	var best time.Duration
+	for b := 0; b < batches; b++ {
 		start := time.Now()
 		for i := 0; i < rounds; i++ {
 			if err := tc.client.WriteFull(ctx, "data", "timed", []byte("payload")); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return time.Since(start) / rounds
+		avg := time.Since(start) / rounds
+		t.Logf("batch %d: avg write latency at 1ms fabric: %v", b, avg)
+		if b == 0 || avg < best {
+			best = avg
+		}
 	}
-
-	pipelined := measure(ReplicatePipelined)
-	serial := measure(ReplicateSerial)
-	t.Logf("avg write latency at 1ms fabric: pipelined=%v serial=%v", pipelined, serial)
-	if pipelined >= 5200*time.Microsecond {
-		t.Errorf("pipelined write took %v, want < 5.2ms (~2 RTT total)", pipelined)
-	}
-	if serial-pipelined < 800*time.Microsecond {
-		t.Errorf("fan-out saved only %v over serial, want ~1 full RTT (2ms)", serial-pipelined)
+	if best >= 5200*time.Microsecond {
+		t.Errorf("write took %v in the fastest batch, want < 5.2ms (~2 RTT total)", best)
 	}
 }
 
