@@ -70,6 +70,14 @@ bench:
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/script/ ./internal/cdc/ ./internal/wal/
 
+# Bench floors, each defined once and passed by both bench-json and
+# bench-compare; the comment on bench-json says what each one pins.
+FLOOR_OPS_PER_RTT := -floor rados_write_ops_per_rtt=14.9
+FLOOR_DEDUP_RATIO := -floor dedup_ratio_50=1.667
+FLOOR_CHUNKER := -floor chunker_mbps=500
+FLOOR_WAL_GROUP_COMMIT := -floor wal_group_commit_speedup=3.0
+FLOOR_WAL_REPLAY := -floor wal_replay_mbps=100
+
 # Record the serial-vs-batched append comparison (PR 2's acceptance
 # numbers) in BENCH_pr2.json, the pipelined replicated write's
 # ops/rtt plus the ZLog end-to-end number (PR 3's) in BENCH_pr3.json
@@ -87,7 +95,7 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -out BENCH_pr2.json
 	@cat BENCH_pr2.json
 	$(GO) test -run=^$$ -bench='^Benchmark(RadosWritePipelined|ZLogAppendReplicated)$$' -benchtime=1s . \
-		| $(GO) run ./cmd/benchjson -out BENCH_pr3.json -floor rados_write_ops_per_rtt=14.9
+		| $(GO) run ./cmd/benchjson -out BENCH_pr3.json $(FLOOR_OPS_PER_RTT)
 	@cat BENCH_pr3.json
 	$(GO) test -run=^$$ -bench='^Benchmark(Script(Interp|VM)|OpCallWarm)$$' -benchmem -benchtime=1s . \
 		| $(GO) run ./cmd/benchjson -out BENCH_pr7.json
@@ -95,11 +103,11 @@ bench-json:
 	{ $(GO) test -run=^$$ -bench='^Benchmark(WriteFlat|WriteDeduped)$$' -benchtime 2x . ; \
 	  $(GO) test -run=^$$ -bench='^BenchmarkChunker$$' -benchtime=1s ./internal/cdc/ ; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_pr8.json \
-			-floor dedup_ratio_50=1.667 -floor chunker_mbps=500
+			$(FLOOR_DEDUP_RATIO) $(FLOOR_CHUNKER)
 	@cat BENCH_pr8.json
 	$(GO) test -run=^$$ -bench='^BenchmarkWAL(Append|Replay)$$' -benchtime=1s ./internal/wal/ \
 		| $(GO) run ./cmd/benchjson -out BENCH_pr10.json \
-			-floor wal_group_commit_speedup=3.0 -floor wal_replay_mbps=100
+			$(FLOOR_WAL_GROUP_COMMIT) $(FLOOR_WAL_REPLAY)
 	@cat BENCH_pr10.json
 
 # Cluster-wide fault injection: boots a full cluster per scenario,
@@ -134,17 +142,16 @@ bench-compare:
 	$(GO) test -run=^$$ -bench='^BenchmarkZLogAppend(Serial|Batch)$$' -benchtime=1s . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_pr2.json -tolerance 0.30
 	$(GO) test -run=^$$ -bench='^Benchmark(RadosWritePipelined|ZLogAppendReplicated)$$' -benchtime=1s . \
-		| $(GO) run ./cmd/benchjson -compare BENCH_pr3.json -tolerance 0.30 \
-			-floor rados_write_ops_per_rtt=14.9
+		| $(GO) run ./cmd/benchjson -compare BENCH_pr3.json -tolerance 0.30 $(FLOOR_OPS_PER_RTT)
 	$(GO) test -run=^$$ -bench='^BenchmarkScript(Interp|VM)$$' -benchmem -benchtime=1s . \
 		| $(GO) run ./cmd/benchjson -compare BENCH_pr7.json -tolerance 0.30
 	{ $(GO) test -run=^$$ -bench='^Benchmark(WriteFlat|WriteDeduped)$$' -benchtime 2x . ; \
 	  $(GO) test -run=^$$ -bench='^BenchmarkChunker$$' -benchtime=1s ./internal/cdc/ ; } \
 		| $(GO) run ./cmd/benchjson -compare BENCH_pr8.json -tolerance 0.30 \
-			-floor dedup_ratio_50=1.667 -floor chunker_mbps=500
+			$(FLOOR_DEDUP_RATIO) $(FLOOR_CHUNKER)
 	$(GO) test -run=^$$ -bench='^BenchmarkWAL(Append|Replay)$$' -benchtime=1s ./internal/wal/ \
 		| $(GO) run ./cmd/benchjson -compare BENCH_pr10.json -tolerance 0.30 \
-			-floor wal_group_commit_speedup=3.0 -floor wal_replay_mbps=100
+			$(FLOOR_WAL_GROUP_COMMIT) $(FLOOR_WAL_REPLAY)
 
 # The end-to-end workloads (object-rw, dedup-ingest, zlog-append,
 # control-plane; see perfbench/README.md), each run once with its

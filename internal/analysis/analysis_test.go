@@ -82,6 +82,20 @@ func TestEpochGuard(t *testing.T) { runFixture(t, NewEpochGuard(), "epochguard")
 
 func TestLockBlock(t *testing.T) { runFixture(t, NewLockBlock(), "lockblock") }
 
+// TestLockBlockReasonIsDeterministic: the "which blocks on" callee a
+// lockblock finding names must not depend on map iteration order. In
+// the fixture, f calls g1 then g2 and both reach time.Sleep through a
+// helper; every index build must name g1.
+func TestLockBlockReasonIsDeterministic(t *testing.T) {
+	pkg := loadFixture(t, "lockblock")
+	key := pkg.Path + ".f"
+	for i := 0; i < 200; i++ {
+		if why := blockingSummaries(NewIndex([]*Package{pkg}))[key]; why != "g1" {
+			t.Fatalf("build %d: reason for %s = %q, want g1", i, key, why)
+		}
+	}
+}
+
 func TestErrDrop(t *testing.T) { runFixture(t, NewErrDrop(), "errdrop") }
 
 func TestSleepSync(t *testing.T) {

@@ -184,20 +184,23 @@ func isWireCall(fn *types.Func) bool {
 // blockingSummaries computes, to a fixpoint over every loaded package,
 // which functions can block: a direct blocking operation in the body
 // (outside function literals and go statements), or a call to a
-// blocking function. The map value says why.
+// blocking function. The map value says why. Functions are visited in
+// name order, so the callee a reason names is the same on every run.
 func blockingSummaries(idx *Index) map[string]string {
+	names := sortedDeclNames(idx)
 	sums := make(map[string]string)
-	for name, fd := range idx.decls {
-		if why := directBlockReason(fd); why != "" {
+	for _, name := range names {
+		if why := directBlockReason(idx.decls[name]); why != "" {
 			sums[name] = why
 		}
 	}
 	for {
 		changed := false
-		for name, fd := range idx.decls {
+		for _, name := range names {
 			if sums[name] != "" {
 				continue
 			}
+			fd := idx.decls[name]
 			why := ""
 			ast.Inspect(fd.Decl.Body, func(n ast.Node) bool {
 				if why != "" {

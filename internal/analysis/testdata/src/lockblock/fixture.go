@@ -125,3 +125,16 @@ func (s *server) pollUnderLock() {
 	default:
 	}
 }
+
+// Reason order: f calls g1 then g2, and each blocks only through a
+// helper, so both become blocking in the same fixpoint round. The
+// reason recorded for f must name g1 on every run.
+func f() {
+	g1()
+	g2()
+}
+
+func g1() { h1() }
+func g2() { h2() }
+func h1() { time.Sleep(time.Millisecond) }
+func h2() { time.Sleep(time.Millisecond) }

@@ -42,6 +42,13 @@ func (cs *capState) expired(now time.Time) bool {
 	return false
 }
 
+// spent reports whether the cap must be yielded: its grant is exhausted,
+// or it is a best-effort grant already recalled (delay/quota grants run
+// to their boundary).
+func (cs *capState) spent(now time.Time) bool {
+	return cs.expired(now) || (cs.revoked && cs.quota == 0 && cs.deadline.IsZero())
+}
+
 // Client is a metadata-service session. It routes requests to the
 // authoritative rank, follows redirects, transparently acquires and
 // yields capabilities, and answers recalls pushed by the servers.
@@ -155,7 +162,7 @@ func (c *Client) onRecall(path string) {
 	bestEffort := cs.quota == 0 && cs.deadline.IsZero()
 	c.mu.Unlock()
 	if bestEffort {
-		// Best-effort yields at the holder's next operation (localNext
+		// Best-effort yields at the holder's next operation (localNextN
 		// checks revoked); the timer covers holders that have gone idle.
 		time.AfterFunc(2*time.Millisecond, func() { c.releaseIfRevoked(path) })
 	}
@@ -169,6 +176,18 @@ func (c *Client) releaseIfRevoked(path string) {
 	revoked := ok && cs.revoked
 	c.mu.Unlock()
 	if revoked {
+		c.releaseCap(path)
+	}
+}
+
+// releaseIfExpired returns a cap whose lease ran out while its holder
+// stopped operating.
+func (c *Client) releaseIfExpired(path string) {
+	c.mu.Lock()
+	cs, ok := c.caps[path]
+	expired := ok && cs.expired(time.Now())
+	c.mu.Unlock()
+	if expired {
 		c.releaseCap(path)
 	}
 }
@@ -241,77 +260,40 @@ func (c *Client) call(ctx context.Context, path string, mk func() any) (any, err
 			}
 			continue
 		}
-		redirect, again := redirectOf(resp)
-		if redirect >= 0 {
+		r, ok := resp.(routed)
+		if !ok {
+			return resp, nil
+		}
+		switch st, redirect := r.route(); st {
+		case StRedirect:
 			redirects++
 			c.mu.Lock()
 			c.auth[path] = redirect
 			c.mu.Unlock()
-			continue
-		}
-		if again {
+		case StAgain:
 			// Transient busy (e.g. an outstanding capability being
 			// chased): back off and retry until the context gives up.
 			if !retry.Backoff(ctx, busy, 5*time.Millisecond, 80*time.Millisecond) {
 				return nil, ctx.Err()
 			}
 			busy++
-			continue
+		default:
+			return resp, nil
 		}
-		return resp, nil
 	}
 	return nil, ErrBadRoute
 }
 
-// redirectOf extracts routing signals from any reply type.
-func redirectOf(resp any) (redirect int, again bool) {
-	switch r := resp.(type) {
-	case OpenResp:
-		if r.Status == StRedirect {
-			return r.Redirect, false
-		}
-	case NextResp:
-		if r.Status == StRedirect {
-			return r.Redirect, false
-		}
-		if r.Status == StAgain {
-			return -1, true
-		}
-	case ReadResp:
-		if r.Status == StRedirect {
-			return r.Redirect, false
-		}
-		if r.Status == StAgain {
-			return -1, true
-		}
-	case NextNResp:
-		if r.Status == StRedirect {
-			return r.Redirect, false
-		}
-		if r.Status == StAgain {
-			return -1, true
-		}
-	case AcquireResp:
-		if r.Status == StRedirect {
-			return r.Redirect, false
-		}
-		if r.Status == StAgain {
-			return -1, true
-		}
-	case StatResp:
-		if r.Status == StRedirect {
-			return r.Redirect, false
-		}
-	case SetValueResp:
-		if r.Status == StRedirect {
-			return r.Redirect, false
-		}
-		if r.Status == StAgain {
-			return -1, true
-		}
-	}
-	return -1, false
-}
+// routed is a reply the router reads: StRedirect names the
+// authoritative rank, StAgain asks for a retry.
+type routed interface{ route() (Status, int) }
+
+func (r OpenResp) route() (Status, int)     { return r.Status, r.Redirect }
+func (r ReadResp) route() (Status, int)     { return r.Status, r.Redirect }
+func (r NextNResp) route() (Status, int)    { return r.Status, r.Redirect }
+func (r AcquireResp) route() (Status, int)  { return r.Status, r.Redirect }
+func (r StatResp) route() (Status, int)     { return r.Status, r.Redirect }
+func (r SetValueResp) route() (Status, int) { return r.Status, r.Redirect }
 
 // SetValue raises a sequencer counter to at least v (monotonic).
 func (c *Client) SetValue(ctx context.Context, path string, v uint64) error {
@@ -378,132 +360,9 @@ func (c *Client) SetPolicy(ctx context.Context, path string, p CapPolicy) error 
 // policy allows caching, the client acquires the exclusive capability
 // and serves increments locally until its grant is exhausted or
 // recalled; otherwise every call is a round-trip (the Shared Resource
-// path).
+// path). It is a range of one.
 func (c *Client) Next(ctx context.Context, path string) (uint64, error) {
-	// Fast path: local increment under a held capability.
-	if v, done := c.localNext(path); done {
-		return v, nil
-	}
-	c.mu.Lock()
-	rt := c.roundtrip[path]
-	c.mu.Unlock()
-	if !rt {
-		// Try to acquire the capability.
-		v, retry, err := c.acquireAndNext(ctx, path)
-		if err == nil {
-			return v, nil
-		}
-		if !retry {
-			return 0, err
-		}
-		// Policy denies caching: fall through to round-trips.
-	}
-	return c.remoteNext(ctx, path)
-}
-
-// localNext serves one increment from the held cap; returns done=false
-// when no usable cap is held.
-func (c *Client) localNext(path string) (uint64, bool) {
-	c.mu.Lock()
-	cs, ok := c.caps[path]
-	if !ok {
-		c.mu.Unlock()
-		return 0, false
-	}
-	now := time.Now()
-	if cs.expired(now) || (cs.revoked && cs.quota == 0 && cs.deadline.IsZero()) {
-		c.mu.Unlock()
-		c.releaseCap(path)
-		return 0, false
-	}
-	cs.value++
-	cs.used++
-	v := cs.value
-	c.localOps++
-	mustRelease := cs.expired(now)
-	c.mu.Unlock()
-	if mustRelease {
-		c.releaseCap(path)
-	}
-	return v, true
-}
-
-// acquireAndNext obtains the capability and serves the first increment.
-// retry=true means the policy denies caching and the caller should fall
-// back to round-trips.
-func (c *Client) acquireAndNext(ctx context.Context, path string) (v uint64, retry bool, err error) {
-	resp, err := c.call(ctx, path, func() any { return AcquireReq{Path: path, Client: c.self} })
-	if err != nil {
-		return 0, false, err
-	}
-	r := resp.(AcquireResp)
-	switch r.Status {
-	case StDenied:
-		c.mu.Lock()
-		c.roundtrip[path] = true
-		c.mu.Unlock()
-		return 0, true, fmt.Errorf("mds: caps denied on %s", path)
-	case StNotFound:
-		return 0, false, ErrNotFound
-	case StOK:
-	default:
-		return 0, false, fmt.Errorf("mds: acquire %s: %s", path, r.Status)
-	}
-	cs := &capState{value: r.Value, quota: r.Quota}
-	if r.Lease > 0 {
-		cs.deadline = time.Now().Add(r.Lease)
-		// Yield at the deadline even if the application stops calling
-		// Next, so waiters are not stuck until the force-reclaim.
-		time.AfterFunc(r.Lease+time.Millisecond, func() { c.releaseIfExpired(path) })
-	}
-	c.mu.Lock()
-	c.caps[path] = cs
-	if c.earlyRecall[path] {
-		delete(c.earlyRecall, path)
-		cs.revoked = true
-	}
-	cs.value++
-	cs.used++
-	v = cs.value
-	c.localOps++
-	// A best-effort grant that was already recalled yields after this
-	// one operation; delay/quota grants run to their boundary.
-	mustRelease := cs.expired(time.Now()) ||
-		(cs.revoked && cs.quota == 0 && cs.deadline.IsZero())
-	c.mu.Unlock()
-	if mustRelease {
-		c.releaseCap(path)
-	}
-	return v, false, nil
-}
-
-func (c *Client) releaseIfExpired(path string) {
-	c.mu.Lock()
-	cs, ok := c.caps[path]
-	expired := ok && cs.expired(time.Now())
-	c.mu.Unlock()
-	if expired {
-		c.releaseCap(path)
-	}
-}
-
-// remoteNext is the round-trip path.
-func (c *Client) remoteNext(ctx context.Context, path string) (uint64, error) {
-	resp, err := c.call(ctx, path, func() any { return NextReq{Path: path} })
-	if err != nil {
-		return 0, err
-	}
-	r := resp.(NextResp)
-	if r.Status == StNotFound {
-		return 0, ErrNotFound
-	}
-	if r.Status != StOK {
-		return 0, fmt.Errorf("mds: next %s: %s", path, r.Status)
-	}
-	c.mu.Lock()
-	c.remoteOps++
-	c.mu.Unlock()
-	return r.Value, nil
+	return c.NextN(ctx, path, 1)
 }
 
 // NextN returns the first value of a contiguous sequencer range
@@ -546,8 +405,7 @@ func (c *Client) localNextN(path string, n int) (uint64, bool) {
 		c.mu.Unlock()
 		return 0, false
 	}
-	now := time.Now()
-	if cs.expired(now) || (cs.revoked && cs.quota == 0 && cs.deadline.IsZero()) {
+	if cs.spent(time.Now()) {
 		c.mu.Unlock()
 		c.releaseCap(path)
 		return 0, false
@@ -559,13 +417,9 @@ func (c *Client) localNextN(path string, n int) (uint64, bool) {
 		c.releaseCap(path)
 		return 0, false
 	}
-	first := cs.value + 1
-	cs.value += uint64(n)
-	cs.used += n
-	c.localOps += int64(n)
-	mustRelease := cs.expired(now)
+	first, spent := c.takeLocked(cs, n)
 	c.mu.Unlock()
-	if mustRelease {
+	if spent {
 		c.releaseCap(path)
 	}
 	return first, true
@@ -608,6 +462,8 @@ func (c *Client) acquireAndNextN(ctx context.Context, path string, n int) (first
 	cs := &capState{value: r.Value, quota: r.Quota}
 	if r.Lease > 0 {
 		cs.deadline = time.Now().Add(r.Lease)
+		// Yield at the deadline even if the application stops calling
+		// NextN, so waiters are not stuck until the force-reclaim.
 		time.AfterFunc(r.Lease+time.Millisecond, func() { c.releaseIfExpired(path) })
 	}
 	c.mu.Lock()
@@ -616,17 +472,23 @@ func (c *Client) acquireAndNextN(ctx context.Context, path string, n int) (first
 		delete(c.earlyRecall, path)
 		cs.revoked = true
 	}
+	first, spent := c.takeLocked(cs, n)
+	c.mu.Unlock()
+	if spent {
+		c.releaseCap(path)
+	}
+	return first, false, nil
+}
+
+// takeLocked serves the range [first, first+n) from the held cap cs and
+// reports whether that spent the cap, which the caller then yields once
+// it has dropped c.mu.
+func (c *Client) takeLocked(cs *capState, n int) (first uint64, spent bool) {
 	first = cs.value + 1
 	cs.value += uint64(n)
 	cs.used += n
 	c.localOps += int64(n)
-	mustRelease := cs.expired(time.Now()) ||
-		(cs.revoked && cs.quota == 0 && cs.deadline.IsZero())
-	c.mu.Unlock()
-	if mustRelease {
-		c.releaseCap(path)
-	}
-	return first, false, nil
+	return first, cs.spent(time.Now())
 }
 
 // remoteNextN is the round-trip range path: one message buys n values.

@@ -361,6 +361,27 @@ func TestProxyModeMigration(t *testing.T) {
 	if c.MDSs[1].OpsSinceTick() == 0 {
 		t.Fatal("authority rank 1 served nothing")
 	}
+	// A range grant forwarded by the proxy is contiguous with the values
+	// before and after it.
+	const k = 5
+	before0 = c.MDSs[0].OpsSinceTick()
+	first, err := cl.NextN(ctx, "/seq", k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first != 9 {
+		t.Fatalf("nextn first = %d, want 9", first)
+	}
+	if c.MDSs[0].OpsSinceTick() == before0 {
+		t.Fatal("range grant bypassed the proxy")
+	}
+	v, err := cl.Next(ctx, "/seq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != 9+k {
+		t.Fatalf("next after range = %d, want %d", v, 9+k)
+	}
 }
 
 func TestClientModeMigrationRedirects(t *testing.T) {

@@ -86,6 +86,27 @@ func (c *Client) CachedMap() *types.OSDMap {
 	return c.osdMap
 }
 
+// locate resolves an object's acting set under the cached map. When
+// that map cannot place the object (unknown pool or empty cluster, as
+// for a client that has never fetched one) it refreshes the map once
+// and tries again. It returns the map the acting set came from.
+func (c *Client) locate(ctx context.Context, pool, object string) (*types.OSDMap, []int, error) {
+	c.mu.Lock()
+	m := c.osdMap
+	c.mu.Unlock()
+	if _, acting, err := Locate(m, pool, object); err == nil {
+		return m, acting, nil
+	}
+	if err := c.RefreshMap(ctx); err != nil {
+		return nil, nil, err
+	}
+	c.mu.Lock()
+	m = c.osdMap
+	c.mu.Unlock()
+	_, acting, err := Locate(m, pool, object)
+	return m, acting, err
+}
+
 // do routes req to the primary OSD, retrying through map refreshes on
 // staleness or placement movement. The first retry is immediate — the
 // common case is a single EMapStale resync — and later ones back off
@@ -103,23 +124,9 @@ func (c *Client) do(ctx context.Context, req OpRequest) (OpReply, error) {
 				return last, ctx.Err()
 			}
 		}
-		c.mu.Lock()
-		m := c.osdMap
-		c.mu.Unlock()
-
-		_, acting, err := Locate(m, req.Pool, req.Object)
+		m, acting, err := c.locate(ctx, req.Pool, req.Object)
 		if err != nil {
-			// Unknown pool or empty cluster: refresh once and retry.
-			if rerr := c.RefreshMap(ctx); rerr != nil {
-				return OpReply{}, rerr
-			}
-			c.mu.Lock()
-			m = c.osdMap
-			c.mu.Unlock()
-			_, acting, err = Locate(m, req.Pool, req.Object)
-			if err != nil {
-				return OpReply{}, err
-			}
+			return OpReply{}, err
 		}
 		req.Epoch = m.Epoch
 		resp, err := c.net.Call(ctx, c.self, OSDAddr(acting[0]), req)

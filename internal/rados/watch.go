@@ -224,21 +224,9 @@ func (c *Client) Watch(ctx context.Context, pool, object string) (*WatchHandle, 
 
 // doWatch routes a watch registration to the object's primary.
 func (c *Client) doWatch(ctx context.Context, r watchReq) (OpReply, error) {
-	c.mu.Lock()
-	m := c.osdMap
-	c.mu.Unlock()
-	_, acting, err := Locate(m, r.Pool, r.Object)
+	_, acting, err := c.locate(ctx, r.Pool, r.Object)
 	if err != nil {
-		if rerr := c.RefreshMap(ctx); rerr != nil {
-			return OpReply{}, rerr
-		}
-		c.mu.Lock()
-		m = c.osdMap
-		c.mu.Unlock()
-		_, acting, err = Locate(m, r.Pool, r.Object)
-		if err != nil {
-			return OpReply{}, err
-		}
+		return OpReply{}, err
 	}
 	resp, err := c.net.Call(ctx, c.self, OSDAddr(acting[0]), r)
 	if err != nil {
@@ -254,10 +242,7 @@ func (c *Client) doWatch(ctx context.Context, r watchReq) (OpReply, error) {
 // Notify sends payload to every watcher of the object, returning the
 // number that acknowledged.
 func (c *Client) Notify(ctx context.Context, pool, object string, payload []byte) (int, error) {
-	c.mu.Lock()
-	m := c.osdMap
-	c.mu.Unlock()
-	_, acting, err := Locate(m, pool, object)
+	_, acting, err := c.locate(ctx, pool, object)
 	if err != nil {
 		return 0, err
 	}

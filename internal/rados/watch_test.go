@@ -48,6 +48,38 @@ func TestWatchNotify(t *testing.T) {
 	}
 }
 
+// TestNotifyFreshClient: a client that has not fetched an OSD map yet
+// can notify, just as an equally fresh client can watch — both fetch
+// the map when the cached one cannot place the object.
+func TestNotifyFreshClient(t *testing.T) {
+	tc := bootCluster(t, 3, 2)
+	ctx := ctxT(t, 20*time.Second)
+	if err := tc.client.WriteFull(ctx, "data", "fresh", []byte("f")); err != nil {
+		t.Fatal(err)
+	}
+	watcher := NewClient(tc.net, "client.freshwatcher", []int{0})
+	h, err := watcher.Watch(ctx, "data", "fresh")
+	if err != nil {
+		t.Fatalf("fresh client watch: %v", err)
+	}
+	notifier := NewClient(tc.net, "client.freshnotifier", []int{0})
+	acked, err := notifier.Notify(ctx, "data", "fresh", []byte("hi"))
+	if err != nil {
+		t.Fatalf("fresh client notify: %v", err)
+	}
+	if acked != 1 {
+		t.Fatalf("acked = %d, want 1", acked)
+	}
+	select {
+	case ev := <-h.Events():
+		if string(ev.Payload) != "hi" {
+			t.Fatalf("event = %+v", ev)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("notification never arrived")
+	}
+}
+
 func TestMultipleWatchers(t *testing.T) {
 	tc := bootCluster(t, 3, 2)
 	ctx := ctxT(t, 20*time.Second)
